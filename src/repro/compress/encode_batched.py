@@ -59,7 +59,7 @@ from repro.compress.delta import (
     _POLICIES,
     matrix_deltas,
 )
-from repro.compress.unit_table import UnitTable, _ranges
+from repro.compress.unit_table import _WIDTH_BYTES_ARR, UnitTable, _ranges
 from repro.errors import EncodingError, FormatError
 from repro.telemetry import core as telemetry
 from repro.telemetry.metrics import record_ctl_stream
@@ -69,9 +69,6 @@ from repro.util.bitops import (
     scatter_varints,
     varint_size_array,
 )
-
-#: WIDTH_BYTES as an array, for per-unit body-size arithmetic.
-_WIDTH_BYTES_ARR = np.asarray(WIDTH_BYTES, dtype=np.int64)
 
 
 @dataclass(frozen=True)

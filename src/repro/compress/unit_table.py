@@ -7,12 +7,18 @@ round-trips per SpMV, so its throughput floor is the interpreter, not
 memory bandwidth -- the opposite of the regime the paper reasons about.
 This module removes that floor in two steps:
 
-1. :func:`scan_units` walks the ctl byte stream **once** and records
-   every unit's header fields -- flags, width class, size, absolute
-   row, ``ujmp``, stride, and the byte offset of its fixed-width delta
-   body -- into a :class:`UnitTable` (structure-of-arrays, one NumPy
-   array per field).  The scan parses headers only; delta bodies are
-   skipped, not decoded.
+1. A :class:`UnitTable` (structure-of-arrays, one NumPy array per
+   field) records every unit's header fields -- flags, width class,
+   size, absolute row, ``ujmp``, stride, and the byte offsets of its
+   header and of its fixed-width delta body.
+   :func:`table_from_offsets` decodes all of them with vectorized
+   passes once it knows where each header starts (the *unit index*),
+   checking the stream and the index against each other as it goes.
+   The index comes from the batched encoder, from a stored shard
+   (:mod:`repro.storage.codec`), or -- for a bare stream -- from
+   :func:`scan_units`, whose Python loop only hops from header to
+   header (varints skipped by their continuation bits, bodies by
+   their width) and records the offsets.
 
 2. :class:`BatchedColumnDecoder` groups the units of a
    :class:`UnitTable` by *width class* (u8/u16/u32/u64, plus the
@@ -40,7 +46,12 @@ import numpy as np
 
 from repro.compress.ctl import FLAG_NR, FLAG_RJMP, FLAG_SEQ, _KNOWN_MASK
 from repro.errors import EncodingError
-from repro.util.bitops import WIDTH_BYTES, WIDTH_DTYPES, decode_varint
+from repro.util.bitops import WIDTH_BYTES, WIDTH_DTYPES
+
+#: WIDTH_BYTES as an array, for per-unit body-size arithmetic.
+_WIDTH_BYTES_ARR = np.asarray(WIDTH_BYTES, dtype=np.int64)
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -90,77 +101,184 @@ class UnitTable:
         return int(self.sizes.sum()) if self.sizes.size else 0
 
 
-def scan_units(ctl: bytes) -> UnitTable:
-    """Parse every unit header of *ctl* in one pass (bodies skipped).
+def _varints_at(data: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one varint at each position of *pos*; ``(values, next_pos)``.
 
-    Raises :class:`~repro.errors.EncodingError` on the same malformed
-    streams :class:`~repro.compress.ctl.CtlReader` rejects: truncated
-    headers or bodies, unknown flag bits, zero unit sizes, RJMP without
-    NR, and streams that do not open with a new-row unit.
+    One pass per byte position of the longest varint present (almost
+    always one), each over the varints still open.  Mirrors
+    :func:`repro.util.bitops.decode_varint` -- a varint running off the
+    end of *data*, or past 64 bits, raises -- and also refuses values
+    above the int64 range the table stores.
+    """
+    n = data.size
+    values = np.zeros(pos.size, dtype=np.uint64)
+    ends = np.empty(pos.size, dtype=np.int64)
+    live = np.arange(pos.size, dtype=np.int64)
+    for k in range(10):
+        at = pos[live] + k
+        if at.size and int(at.max()) >= n:
+            raise EncodingError("truncated varint")
+        byte = data[at]
+        payload = (byte & 0x7F).astype(np.uint64)
+        if k == 9 and int(payload.max(initial=0)) > 1:
+            raise EncodingError("varint exceeds 64 bits")
+        values[live] |= payload << np.uint64(7 * k)
+        more = (byte & 0x80) != 0
+        ends[live[~more]] = at[~more] + 1
+        live = live[more]
+        if not live.size:
+            break
+    else:
+        raise EncodingError("varint exceeds 64 bits")
+    if values.size and int(values.max()) > _INT64_MAX:
+        raise EncodingError("varint exceeds the int64 range")
+    return values.astype(np.int64), ends
+
+
+def table_from_offsets(ctl, offsets) -> UnitTable:
+    """The :class:`UnitTable` of *ctl*, given every unit's header offset.
+
+    *offsets* is the unit index: each unit's header byte offset plus the
+    stream length (``nunits + 1`` values, the table's ``ctl_offsets``).
+    Every field is decoded with a constant number of NumPy passes --
+    header bytes gathered at the offsets, varints decoded at computed
+    positions, rows by a cumulative sum of row jumps -- so the cost is
+    O(#units) vectorized work, not a Python loop per unit.
+
+    Nothing in *offsets* is trusted.  The stream checks are the ones
+    :class:`~repro.compress.ctl.CtlReader` makes (truncated headers,
+    varints or bodies, unknown flag bits, zero unit sizes, RJMP
+    without NR, a first unit that does not open a row); on top, every
+    unit must end exactly where the index puts the next header, and
+    the index must start at byte 0 and end at ``len(ctl)``.  A wrong
+    index therefore raises :class:`~repro.errors.EncodingError`; it can
+    never yield a table that disagrees with the stream.
+    """
+    data = np.frombuffer(ctl, dtype=np.uint8)
+    n = data.size
+    off = np.asarray(offsets)
+    if off.ndim != 1 or off.size == 0 or off.dtype.kind not in "iu":
+        raise EncodingError("unit index must be a non-empty 1-D integer array")
+    off = off.astype(np.int64)
+    if int(off[0]) != 0:
+        raise EncodingError(f"unit index starts at byte {int(off[0])}, not 0")
+    heads = off[:-1]
+    claimed_ends = off[1:]
+    if (claimed_ends <= heads).any():
+        raise EncodingError("unit index is not strictly increasing")
+    if heads.size and int(heads[-1]) + 2 > n:
+        raise EncodingError("truncated unit header")
+
+    flags = data[heads]
+    sizes = data[heads + 1].astype(np.int64)
+    unknown = int(np.bitwise_or.reduce(flags & ~np.uint8(_KNOWN_MASK)))
+    if unknown:
+        raise EncodingError(f"unknown flag bits 0x{unknown:02x}")
+    if bool((sizes == 0).any()):
+        raise EncodingError("unit size 0 is invalid")
+    new_row = (flags & FLAG_NR) != 0
+    rjmp = (flags & FLAG_RJMP) != 0
+    seq = (flags & FLAG_SEQ) != 0
+    if bool((rjmp & ~new_row).any()):
+        raise EncodingError("RJMP flag without NR")
+    if heads.size and not new_row[0]:
+        raise EncodingError("stream does not start with a new-row unit")
+
+    # Header varints, in wire order: [rjmp extra], ujmp, [stride].
+    pos = heads + 2
+    jumps = new_row.astype(np.int64)
+    sel = np.flatnonzero(rjmp)
+    if sel.size:
+        extra, pos[sel] = _varints_at(data, pos[sel])
+        jumps[sel] += extra
+    ujmps, pos = _varints_at(data, pos)
+    strides = np.zeros(heads.size, dtype=np.int64)
+    sel = np.flatnonzero(seq)
+    if sel.size:
+        strides[sel], pos[sel] = _varints_at(data, pos[sel])
+    body_offsets = pos
+    classes = (flags & 0x03).astype(np.int8)
+    ends = body_offsets + np.where(seq, 0, (sizes - 1) * _WIDTH_BYTES_ARR[classes])
+    if int(ends.max(initial=0)) > n:
+        raise EncodingError("truncated fixed-width run")
+    wrong = np.flatnonzero(ends != claimed_ends)
+    if wrong.size:
+        u = int(wrong[0])
+        raise EncodingError(
+            f"unit {u} ends at byte {int(ends[u])} but the unit index puts "
+            f"the next header at {int(claimed_ends[u])}"
+        )
+    if int(off[-1]) != n:
+        raise EncodingError(
+            f"unit index covers {int(off[-1])} bytes, the stream has {n}"
+        )
+    # Rows start at -1, so the first unit's jump lands on row jump - 1.
+    # Every jump is at most 2**63 (int64 arithmetic wraps, but the sum
+    # stays exact modulo 2**64), so a row past the int64 range first
+    # shows as a negative running sum.
+    jumps[:1] -= 1
+    rows = np.cumsum(jumps)
+    if int(rows.min(initial=0)) < 0:
+        raise EncodingError("row index exceeds the int64 range")
+    return UnitTable(
+        flags=flags,
+        sizes=sizes,
+        classes=classes,
+        rows=rows,
+        new_row=new_row,
+        seq=seq,
+        ujmps=ujmps,
+        strides=strides,
+        body_offsets=body_offsets,
+        ctl_offsets=off,
+    )
+
+
+def _header_offsets(ctl) -> list[int]:
+    """Every unit's header offset in *ctl*, then where the last unit ends.
+
+    The one per-unit Python loop left: it reads each header's flag and
+    size bytes, skips the varints by their continuation bits and the
+    body by its width, and records nothing else.  It never raises --
+    a malformed stream yields offsets that :func:`table_from_offsets`
+    rejects, with the message naming what is wrong.
     """
     n = len(ctl)
     pos = 0
-    row = -1
-    flags_l: list[int] = []
-    sizes_l: list[int] = []
-    rows_l: list[int] = []
-    ujmps_l: list[int] = []
-    strides_l: list[int] = []
-    body_l: list[int] = []
-    ctl_off: list[int] = []
+    offsets: list[int] = []
+    append = offsets.append
     width_bytes = WIDTH_BYTES
     while pos < n:
-        ctl_off.append(pos)
+        append(pos)
         if pos + 2 > n:
-            raise EncodingError("truncated unit header")
+            pos += 2
+            break
         flags = ctl[pos]
         usize = ctl[pos + 1]
         pos += 2
-        if flags & ~_KNOWN_MASK:
-            raise EncodingError(f"unknown flag bits 0x{flags & ~_KNOWN_MASK:02x}")
-        if usize == 0:
-            raise EncodingError("unit size 0 is invalid")
-        if flags & FLAG_NR:
-            jump = 1
-            if flags & FLAG_RJMP:
-                extra, pos = decode_varint(ctl, pos)
-                jump += extra
-            row += jump
-        else:
-            if flags & FLAG_RJMP:
-                raise EncodingError("RJMP flag without NR")
-            if row < 0:
-                raise EncodingError("stream does not start with a new-row unit")
-        ujmp, pos = decode_varint(ctl, pos)
-        if flags & FLAG_SEQ:
-            stride, pos = decode_varint(ctl, pos)
-            body = pos
-        else:
-            stride = 0
-            body = pos
+        # Varints in the header: [rjmp extra], ujmp, [stride].
+        for _ in range(1 + bool(flags & FLAG_RJMP) + bool(flags & FLAG_SEQ)):
+            while pos < n and ctl[pos] & 0x80:
+                pos += 1
+            pos += 1
+        if usize and not flags & FLAG_SEQ:
             pos += (usize - 1) * width_bytes[flags & 0x03]
-            if pos > n:
-                raise EncodingError("truncated fixed-width run")
-        flags_l.append(flags)
-        sizes_l.append(usize)
-        rows_l.append(row)
-        ujmps_l.append(ujmp)
-        strides_l.append(stride)
-        body_l.append(body)
-    ctl_off.append(pos)
-    flags_arr = np.asarray(flags_l, dtype=np.uint8)
-    return UnitTable(
-        flags=flags_arr,
-        sizes=np.asarray(sizes_l, dtype=np.int64),
-        classes=(flags_arr & 0x03).astype(np.int8),
-        rows=np.asarray(rows_l, dtype=np.int64),
-        new_row=(flags_arr & FLAG_NR).astype(bool),
-        seq=(flags_arr & FLAG_SEQ).astype(bool),
-        ujmps=np.asarray(ujmps_l, dtype=np.int64),
-        strides=np.asarray(strides_l, dtype=np.int64),
-        body_offsets=np.asarray(body_l, dtype=np.int64),
-        ctl_offsets=np.asarray(ctl_off, dtype=np.int64),
-    )
+    append(pos)
+    return offsets
+
+
+def scan_units(ctl: bytes) -> UnitTable:
+    """Parse every unit header of *ctl* (bodies skipped).
+
+    A Python walk finds the header offsets; :func:`table_from_offsets`
+    decodes and checks every field from them.  Raises
+    :class:`~repro.errors.EncodingError` on the same malformed streams
+    :class:`~repro.compress.ctl.CtlReader` rejects: truncated headers,
+    varints or bodies, unknown flag bits, zero unit sizes, RJMP without
+    NR, and streams that do not open with a new-row unit -- and on
+    rows, jumps or strides past the int64 range the table stores.
+    """
+    return table_from_offsets(ctl, np.asarray(_header_offsets(ctl), dtype=np.int64))
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -52,7 +52,9 @@ from repro.telemetry import core as telemetry
 __all__ = ["ShardStore", "attach_shard", "MANIFEST_NAME", "MANIFEST_VERSION"]
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_VERSION = 1
+#: Version 2: delta-unit shards carry the ``unit_bytes`` unit index
+#: (see :mod:`repro.storage.codec`); version-1 stores are refused.
+MANIFEST_VERSION = 2
 
 
 def _manifest_crc(shards: list[dict]) -> int:

@@ -28,6 +28,7 @@ from repro.parallel import (
 from repro.telemetry import core as telemetry
 
 from tests.conftest import random_sparse_dense
+from tests.storage.shard_faults import flip_field_byte, poke_field, wrong_unit_index
 
 FORMATS = ("csr", "csr-du", "csr-vi", "csr-du-vi")
 
@@ -151,6 +152,43 @@ class TestProcessBackend:
             assert failures[0].thread == 1
             assert failures[0].retried
             assert isinstance(failures[0].error, StorageError)
+
+    @pytest.mark.parametrize("fmt", ["csr-du", "csr-du-vi"])
+    @pytest.mark.parametrize(
+        "fault, error", [("flip", "IntegrityError"), ("reseal", "EncodingError")]
+    )
+    @pytest.mark.parametrize("storage", STORAGES)
+    def test_unit_index_fault_rebuilt_and_resubmitted(
+        self, csr, fmt, fault, error, storage, tmp_path
+    ):
+        """A shard whose unit index is damaged -- a flipped byte (stale
+        CRC) or a wrong index re-sealed with a valid CRC -- fails at the
+        worker's attach; the parent rebuilds the shard, resubmits, and
+        the call returns the same bits as the thread backend."""
+        x = np.random.default_rng(8).random(csr.ncols)
+        with ParallelSpMV(csr, 2, format_name=fmt) as threads:
+            y_ref = threads(x)
+        kwargs = {"directory": str(tmp_path)} if storage == "mmap" else {}
+        prev = telemetry.set_collector(telemetry.Collector())
+        try:
+            with ProcessParallelSpMV(
+                csr, 2, format_name=fmt, storage=storage, **kwargs
+            ) as procs:
+                if fault == "flip":
+                    flip_field_byte(procs.store, 0)
+                else:
+                    poke_field(
+                        procs.store, 0, wrong_unit_index(procs.store, 0),
+                        reseal=True,
+                    )
+                assert np.array_equal(procs(x), y_ref)
+                assert procs.store.shards[0]["generation"] == 1
+                assert np.array_equal(procs(x), y_ref)
+            events = telemetry.get_collector().snapshot()
+        finally:
+            telemetry.set_collector(prev)
+        retries = [e for e in events if e.name == "executor.retry"]
+        assert [r.attrs["error"] for r in retries] == [error]
 
     def test_closed_executor_refuses(self, csr):
         procs = ProcessParallelSpMV(csr, 2)

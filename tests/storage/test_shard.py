@@ -7,11 +7,17 @@ import numpy as np
 import pytest
 
 from repro.compress.encode_cache import ConvertCache
-from repro.errors import IntegrityError, StorageError
+from repro.errors import EncodingError, IntegrityError, StorageError
 from repro.formats import CSRMatrix, convert
 from repro.storage import CODEC_FORMATS, MANIFEST_NAME, ShardStore, attach_shard
+from repro.storage.shard import MANIFEST_VERSION, _manifest_crc
 
 from tests.conftest import random_sparse_dense
+from tests.storage.shard_faults import (
+    flip_field_byte,
+    poke_field,
+    wrong_unit_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +159,57 @@ class TestRebuild:
         store.close()
         with pytest.raises(StorageError):
             store.attach(0)
+
+
+class TestUnitIndex:
+    """The csr-du unit index field: sealed, checked, and versioned."""
+
+    @pytest.mark.parametrize("fmt", ["csr-du", "csr-du-vi"])
+    @pytest.mark.parametrize("storage", ["shm", "mmap"])
+    def test_flipped_index_byte_fails_crc(self, csr, x, fmt, storage, tmp_path):
+        kwargs = {"directory": str(tmp_path)} if storage == "mmap" else {}
+        with ShardStore.build(csr, fmt, 2, storage=storage, **kwargs) as store:
+            y_ref = shard_product(store, x)
+            flip_field_byte(store, 0)
+            with pytest.raises(IntegrityError) as err:
+                store.attach(0)
+            assert err.value.field == "unit_bytes"
+            store.rebuild_shard(0)
+            assert np.array_equal(shard_product(store, x), y_ref)
+
+    @pytest.mark.parametrize("fmt", ["csr-du", "csr-du-vi"])
+    @pytest.mark.parametrize("storage", ["shm", "mmap"])
+    def test_resealed_wrong_index_fails_decode(
+        self, csr, x, fmt, storage, tmp_path
+    ):
+        kwargs = {"directory": str(tmp_path)} if storage == "mmap" else {}
+        with ShardStore.build(csr, fmt, 2, storage=storage, **kwargs) as store:
+            y_ref = shard_product(store, x)
+            poke_field(store, 1, wrong_unit_index(store, 1), reseal=True)
+            with pytest.raises(EncodingError):
+                store.attach(1)
+            store.rebuild_shard(1)
+            assert np.array_equal(shard_product(store, x), y_ref)
+
+    def test_pre_index_manifest_refused(self, csr, tmp_path):
+        """A store written before shards carried the unit index (manifest
+        version 1, no unit_bytes field) is refused at open."""
+        store = ShardStore.build(
+            csr, "csr-du", 2, storage="mmap", directory=str(tmp_path)
+        )
+        store.close(unlink=False)
+        path = os.path.join(str(tmp_path), MANIFEST_NAME)
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+        assert doc["version"] == MANIFEST_VERSION == 2
+        for shard in doc["shards"]:
+            layout = shard["handle"]["layout"]
+            shard["handle"]["layout"] = [
+                f for f in layout if f["name"] != "unit_bytes"
+            ]
+        doc["version"] = 1
+        doc["crc32"] = _manifest_crc(doc["shards"])
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(StorageError, match="version 1"):
+            ShardStore.open(str(tmp_path))
