@@ -13,7 +13,7 @@ The runner realizes each catalog matrix once per configuration, converts
 it to each requested format once, and fans out over thread counts.
 
 Real-clock cells honor the ``backend`` axis: ``"process"`` runs its
-chunks in fork-pool workers whose spans and metric shards are merged
+chunks in forked shard workers whose spans and metric shards are merged
 back into the parent's telemetry/obs sinks (:mod:`repro.obs.xproc`),
 so reports, traces and the dashboard's workers table cover them like
 any single-process run.

@@ -1,7 +1,7 @@
 """Cross-process observability: one causal timeline from many workers.
 
-PR 7's :class:`~repro.parallel.process_executor.ProcessParallelSpMV`
-runs its chunks in fork-pool workers, and everything recorded inside a
+:class:`~repro.parallel.process_executor.ProcessParallelSpMV` runs its
+chunks in forked worker processes, and everything recorded inside a
 worker -- spans, counters, obs histograms, cache hit/miss marks -- dies
 with the worker's process-local module globals.  This module carries it
 across the boundary in three pieces:

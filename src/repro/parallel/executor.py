@@ -84,7 +84,7 @@ class ChunkFailure:
     error: BaseException
     #: Whether a cache-invalidating retry was attempted before giving up.
     retried: bool
-    #: ``traceback.format_exc()`` captured inside a pool worker, when the
+    #: ``traceback.format_exc()`` captured inside a process worker, when the
     #: failure crossed a process boundary (exception objects do not).
     worker_traceback: str | None = None
 

@@ -1,6 +1,6 @@
 """Multi-process SpMV execution: real parallelism beyond the GIL.
 
-:class:`ProcessParallelSpMV` is the process-pool sibling of
+:class:`ProcessParallelSpMV` is the multi-process sibling of
 :class:`~repro.parallel.executor.ParallelSpMV`.  The matrix is sharded
 once into a :class:`~repro.storage.shard.ShardStore` (one shard per
 worker, same nnz-balanced row partition as the thread executor), and
@@ -9,6 +9,13 @@ the shard bytes directly -- a POSIX shared-memory segment for
 ``storage="mem"``, a re-opened ``np.memmap`` for ``storage="mmap"`` --
 multiply into a shared output buffer, and return a small status dict.
 No matrix data ever crosses the pickle channel.
+
+Each shard has its own worker: worker *t* is one forked process that
+serves only shard *t*, over its own duplex pipe, for the executor's
+whole life -- the static thread-to-row-block ownership of the paper's
+pinned threads.  A shard is therefore attached, CRC-verified and
+planned once per worker, and a call is one pipe round trip per shard
+with no feeder or manager thread in between.
 
 The fault contract matches the thread executor exactly, crossing the
 process boundary:
@@ -21,9 +28,10 @@ process boundary:
   matrix -- ``rebuild_shard`` bumps the shard's generation, so the
   worker's attach cache cannot serve the stale bytes;
 * ``chunk_timeout`` bounds the wait per chunk, and a worker that dies
-  outright (``BrokenProcessPool``) surfaces as an aggregated failure,
-  not a hang -- the pool and the shared x/y buffers are rotated before
-  the next call so a straggler writing late cannot corrupt it.
+  outright (its pipe reaches EOF) surfaces as an aggregated failure,
+  not a hang -- the workers are retired and the shared x/y buffers
+  rotated before the next call, so a straggler writing late cannot
+  corrupt it.
 
 Exceptions cross back as ``(type name, message)`` pairs -- errors with
 keyword-only constructors (:class:`~repro.errors.IntegrityError`) do
@@ -41,9 +49,6 @@ import time
 import traceback
 import uuid
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, shared_memory
 
 import numpy as np
@@ -66,7 +71,7 @@ from repro.parallel.partition import RowPartition, row_partition
 from repro.resilience import chaos
 from repro.resilience.breaker import BreakerBoard
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
-from repro.storage.provider import _attach_shm, _disarm_segment
+from repro.storage.provider import _attach_shm, _detach_shm, _disarm_segment
 from repro.storage.shard import ShardStore, attach_shard
 from repro.telemetry import core as telemetry
 
@@ -82,12 +87,16 @@ _STORAGE_KINDS = {"mem": "shm", "shm": "shm", "mmap": "mmap"}
 # Worker side (module level: must be picklable by reference)
 # ---------------------------------------------------------------------------
 
-#: Per-worker LRU cache of rebuilt shard matrices, keyed (index,
-#: generation).  A rebuilt shard arrives with a bumped generation, so
-#: stale bytes are never served after a cache-invalidating retry.  Hits
-#: move to the back; over capacity the oldest entry is evicted -- the
-#: working set survives, unlike the previous wholesale clear().
-_SHARD_CACHE: "OrderedDict[tuple[int, int], SparseMatrix]" = OrderedDict()
+#: Per-worker LRU cache of rebuilt shard matrices and their storage
+#: handles, keyed (index, generation).  A rebuilt shard arrives with a
+#: bumped generation, so stale bytes are never served after a
+#: cache-invalidating retry, and the miss on the new generation drops
+#: the older ones of that index (their attachment is released, not
+#: left pinned until the cache fills).  Hits move to the back; over
+#: capacity the oldest entry is evicted.
+_SHARD_CACHE: "OrderedDict[tuple[int, int], tuple[SparseMatrix, dict]]" = (
+    OrderedDict()
+)
 
 #: Shard-cache capacity per worker process.
 _SHARD_CACHE_CAPACITY = 64
@@ -107,6 +116,14 @@ def _attach_vector(name: str, size: int) -> np.ndarray:
     return vec
 
 
+def _drop_cached(key: tuple[int, int]) -> None:
+    """Evict one cache entry and release its shared-memory attachment."""
+    _shard, handle = _SHARD_CACHE.pop(key)
+    del _shard  # drop the views first, so the segment can unmap now
+    if handle["kind"] == "shm":
+        _detach_shm(handle["shm_name"])
+
+
 def _cached_shard(spec: dict) -> SparseMatrix:
     """Shard for *spec* from the worker's LRU cache, attaching on miss.
 
@@ -116,32 +133,36 @@ def _cached_shard(spec: dict) -> SparseMatrix:
     installed in this process -- the worker-scoped ones when a trace
     context enabled them, or the disabled fast path otherwise.
     """
-    key = (spec["index"], spec["generation"])
-    shard = _SHARD_CACHE.get(key)
+    index, generation = spec["index"], spec["generation"]
+    key = (index, generation)
+    entry = _SHARD_CACHE.get(key)
     storage = spec["handle"]["kind"]
-    if shard is not None:
+    if entry is not None:
         _SHARD_CACHE.move_to_end(key)
         telemetry.count(
             "storage.shard.cache.hit",
             1,
-            extra={"index": spec["index"]},
+            extra={"index": index},
             storage=storage,
         )
         obs.mark("storage.shard.cache.hit", 1, storage=storage)
-        return shard
+        return entry[0]
     # The miss is recorded before the attach so a failing attach still
     # counts as a miss.
     telemetry.count(
         "storage.shard.cache.miss",
         1,
-        extra={"index": spec["index"]},
+        extra={"index": index},
         storage=storage,
     )
     obs.mark("storage.shard.cache.miss", 1, storage=storage)
+    stale = [k for k in _SHARD_CACHE if k[0] == index and k[1] < generation]
+    for old in stale:
+        _drop_cached(old)
     shard = attach_shard(spec, verify=True)
-    _SHARD_CACHE[key] = shard
+    _SHARD_CACHE[key] = (shard, spec["handle"])
     while len(_SHARD_CACHE) > _SHARD_CACHE_CAPACITY:
-        _SHARD_CACHE.popitem(last=False)
+        _drop_cached(next(iter(_SHARD_CACHE)))
     return shard
 
 
@@ -154,7 +175,7 @@ def _worker_spmv(
     lo: int,
     hi: int,
 ) -> dict:
-    """Multiply one shard inside a pool worker; returns a status dict.
+    """Multiply one shard inside a shard worker; returns a status dict.
 
     The return value is deliberately plain (no exception objects):
     errors with keyword-only constructors break pickle, and the parent
@@ -188,7 +209,7 @@ def _worker_spmv(
                 run_id=wt.ctx.run_id if wt else "",
             ):
                 # Chaos seam (tools/smoke_chaos.py): faults armed in the
-                # parent before the pool forked fire here -- a SIGKILL
+                # parent before the workers forked fire here -- a SIGKILL
                 # lands mid-chunk, a sleep makes this worker the
                 # straggler.  Empty registry = one truthiness check.
                 chaos.trip(
@@ -231,6 +252,33 @@ def _worker_spmv(
     if wt is not None and wt.began:
         status["xproc"] = wt.payload()
     return status
+
+
+def _serve(conn, inherited) -> None:
+    """Main loop of one shard worker process.
+
+    Each request is the argument tuple of :func:`_worker_spmv`; each
+    answer is its status dict.  ``None`` asks the worker to exit, and
+    so does a closed pipe (the parent retired this worker, or died).
+    *inherited* are the parent's ends of every pipe that existed at the
+    fork, this worker's own included: closing them here means each
+    parent end lives only in the parent, so closing it there is seen as
+    EOF by its worker.
+    """
+    for other in inherited:
+        other.close()
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, OSError):
+            return
+        if request is None:
+            return
+        status = _worker_spmv(*request)
+        try:
+            conn.send(status)
+        except OSError:
+            return
 
 
 def _rebuild_error(status: dict) -> BaseException:
@@ -276,6 +324,35 @@ class _SharedVector:
             self._seg.close()
         except BufferError:
             _disarm_segment(self._seg)
+
+
+#: Seconds :meth:`ProcessParallelSpMV.close` waits, in all, for its
+#: workers to exit before it kills the survivors (a straggler past its
+#: chunk timeout, say).
+_JOIN_TIMEOUT_S = 1.0
+
+
+class _ShardWorker:
+    """One forked process serving one shard over its own duplex pipe."""
+
+    def __init__(self, ctx, index: int, siblings: list["_ShardWorker"]):
+        self.conn, child = ctx.Pipe(duplex=True)
+        self.process = ctx.Process(
+            target=_serve,
+            args=(child, [w.conn for w in siblings] + [self.conn]),
+            name=f"repro-shard-{index}",
+            daemon=True,
+        )
+        self.process.start()
+        child.close()
+
+    def retire(self) -> None:
+        """Ask the worker to exit once idle; close the parent's end."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # already dead
+        self.conn.close()
 
 
 class ProcessParallelSpMV:
@@ -384,38 +461,53 @@ class ProcessParallelSpMV:
         if mp_context is None and "fork" in multiprocessing.get_all_start_methods():
             mp_context = "fork"
         self._ctx = get_context(mp_context) if mp_context else get_context()
-        self._pool: ProcessPoolExecutor | None = None
+        self._workers: list[_ShardWorker] = []
+        self._retired_workers: list[_ShardWorker] = []
         self._run_id = uuid.uuid4().hex[:12]
         self._x = _SharedVector(self.ncols)
         self._y = _SharedVector(self.nrows)
         self._retired: list[_SharedVector] = []
         self._closed = False
 
-    # -- pool / buffer lifecycle ------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.nworkers, mp_context=self._ctx
-            )
-        return self._pool
+    # -- worker / buffer lifecycle ----------------------------------------
+    def _ensure_workers(self) -> None:
+        """Fork the shard workers on first use (and after a rotation)."""
+        if self._workers:
+            return
+        workers: list[_ShardWorker] = []
+        try:
+            for t in range(self.nworkers):
+                workers.append(_ShardWorker(self._ctx, t, workers))
+        except BaseException:
+            for worker in workers:
+                worker.retire()
+            self._retired_workers.extend(workers)
+            raise
+        self._workers = workers
 
     def _rotate(self) -> None:
-        """Replace pool and shared buffers after a timeout / dead worker.
+        """Retire the workers and replace the shared buffers.
 
-        A timed-out worker may still be running and would eventually
+        Called after a timeout, a dead worker or an interrupted call.  A
+        timed-out worker may still be running and would eventually
         write into the old ``y`` segment; retiring the segments (they
         stay allocated until close) guarantees it cannot touch the
-        buffers later calls read.
+        buffers later calls read, and fresh workers mean no stale
+        answer is left in a pipe.  Retired workers that already exited
+        are reaped here; the rest are joined at close.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
+        for worker in self._workers:
+            worker.retire()
+        self._retired_workers = [
+            w for w in self._retired_workers if w.process.is_alive()
+        ] + self._workers
+        self._workers = []
         self._retired.extend([self._x, self._y])
         self._x = _SharedVector(self.ncols)
         self._y = _SharedVector(self.nrows)
 
     # -- the call ----------------------------------------------------------
-    def _submit(self, pool: ProcessPoolExecutor, t: int):
+    def _submit(self, t: int) -> None:
         lo, hi = self.partition.rows_of(t)
         # The spec dict is shared with the store's manifest, so the
         # trace context rides on a copy.  ctx is None when both
@@ -431,18 +523,15 @@ class ProcessParallelSpMV:
         )
         if ctx is not None:
             spec["ctx"] = ctx
-        return pool.submit(
-            _worker_spmv,
-            spec,
-            self._x.name,
-            self.ncols,
-            self._y.name,
-            self.nrows,
-            lo,
-            hi,
-        )
+        x, y = self._x, self._y
+        request = (spec, x.name, self.ncols, y.name, self.nrows, lo, hi)
+        try:
+            self._workers[t].conn.send(request)
+        except OSError:
+            # A dead worker: its pipe reads EOF when the chunk is collected.
+            pass
 
-    def _chunk_result(self, t: int, future, *, retried: bool):
+    def _chunk_result(self, t: int, *, retried: bool):
         """(failure | None, status | None, needs_rotation) for one chunk."""
         lo, hi = self.partition.rows_of(t)
         timeout = (
@@ -450,9 +539,25 @@ class ProcessParallelSpMV:
             if self.deadline is None
             else self.deadline.cap(self.chunk_timeout)
         )
+        conn = self._workers[t].conn
         try:
-            status = future.result(timeout=timeout)
-        except FuturesTimeoutError:
+            status = conn.recv() if conn.poll(timeout) else None
+        except (EOFError, OSError) as exc:
+            return (
+                ChunkFailure(
+                    t,
+                    lo,
+                    hi,
+                    RuntimeError(
+                        f"worker process died: pipe closed "
+                        f"({type(exc).__name__})"
+                    ),
+                    retried=retried,
+                ),
+                None,
+                True,
+            )
+        if status is None:
             failure = abandon_chunk(
                 t,
                 lo,
@@ -466,18 +571,6 @@ class ProcessParallelSpMV:
                     t, lo, hi, failure.error, retried=True
                 )
             return failure, None, True
-        except BrokenProcessPool as exc:
-            return (
-                ChunkFailure(
-                    t,
-                    lo,
-                    hi,
-                    RuntimeError(f"worker process died: {exc}"),
-                    retried=retried,
-                ),
-                None,
-                True,
-            )
         # Worker-side telemetry/metrics merge first (also for failed
         # chunks: their partial events show where worker time went).
         payload = status.get("xproc")
@@ -514,6 +607,111 @@ class ProcessParallelSpMV:
             return None, status, False
         return None, status, False
 
+    def _run_chunks(self) -> tuple[list[ChunkFailure], bool]:
+        """Send every shard its chunk, collect, retry: (failures, rotate?)."""
+        self._ensure_workers()
+        failures: list[ChunkFailure] = []
+        needs_rotation = False
+        for t in range(self.nworkers):
+            self._submit(t)
+        retry: list[tuple[int, dict]] = []
+        for t in range(self.nworkers):
+            failure, status, rotate = self._chunk_result(t, retried=False)
+            needs_rotation |= rotate
+            if failure is not None:
+                failures.append(failure)
+            elif status is not None and not status["ok"]:
+                retry.append((t, status))
+        # Cache-invalidating retry, across the process boundary: the
+        # parent rebuilds the shard (new generation, fresh bytes)
+        # and resubmits -- gated by the retry policy (error class,
+        # attempts, shared budget, deadline) and by the shard
+        # generation's circuit breaker, so a shard that keeps
+        # failing at the same bytes stops burning rebuild cycles.
+        resubmitted: list[tuple[int, object]] = []
+        for t, status in retry:
+            lo, hi = self.partition.rows_of(t)
+            exc = _rebuild_error(status)
+            generation = self.store.attach_spec(t)["generation"]
+            breaker = self.breakers.get(f"shard:{t}:g{generation}")
+            breaker.record_failure()
+            if not breaker.allow():
+                failures.append(
+                    ChunkFailure(
+                        t,
+                        lo,
+                        hi,
+                        BreakerOpenError(
+                            f"shard {t} generation {generation} breaker "
+                            f"open after repeated failures (last: "
+                            f"{type(exc).__name__}: {exc})",
+                            key=breaker.key,
+                            retry_after_s=breaker.retry_after_s(),
+                        ),
+                        retried=False,
+                        worker_traceback=status.get("traceback"),
+                    )
+                )
+                continue
+            if not self.retry_policy.should_retry(
+                exc, 1, budget=self._retry_budget, deadline=self.deadline
+            ):
+                failures.append(
+                    ChunkFailure(
+                        t,
+                        lo,
+                        hi,
+                        exc,
+                        retried=False,
+                        worker_traceback=status.get("traceback"),
+                    )
+                )
+                continue
+            telemetry.count(
+                "executor.retry",
+                1,
+                extra={
+                    "thread": t,
+                    "lo": lo,
+                    "hi": hi,
+                    "error": status.get("error_type", ""),
+                },
+                format=self._format_name,
+            )
+            obs.mark("executor.retry", 1, format=self._format_name)
+            try:
+                self.store.rebuild_shard(t)
+            except Exception as exc2:
+                breaker.record_failure()
+                failures.append(ChunkFailure(t, lo, hi, exc2, retried=True))
+                continue
+            self._submit(t)
+            resubmitted.append((t, breaker))
+        for t, breaker in resubmitted:
+            lo, hi = self.partition.rows_of(t)
+            failure, status, rotate = self._chunk_result(t, retried=True)
+            needs_rotation |= rotate
+            if failure is not None:
+                breaker.record_failure()
+                failures.append(failure)
+            elif status is not None and not status["ok"]:
+                breaker.record_failure()
+                failures.append(
+                    ChunkFailure(
+                        t,
+                        lo,
+                        hi,
+                        _rebuild_error(status),
+                        retried=True,
+                        worker_traceback=status.get("traceback"),
+                    )
+                )
+            else:
+                # The rebuilt generation works: close the breaker so
+                # a half-open probe that succeeded re-admits traffic.
+                breaker.record_success()
+        return failures, needs_rotation
+
     def __call__(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Compute ``y = A x`` across the worker processes."""
         if self._closed:
@@ -527,114 +725,18 @@ class ProcessParallelSpMV:
             check_out_aliasing(out, x)
         np.copyto(self._x.array, x)
 
-        failures: list[ChunkFailure] = []
-        needs_rotation = False
         runtime = obs.get_runtime()
         call_t0 = time.perf_counter()
         with telemetry.span(
             "parallel.spmv", threads=self.nworkers, backend=self.backend
         ):
-            pool = self._ensure_pool()
-            futures = {t: self._submit(pool, t) for t in range(self.nworkers)}
-            retry: list[tuple[int, dict]] = []
-            for t, future in futures.items():
-                failure, status, rotate = self._chunk_result(
-                    t, future, retried=False
-                )
-                needs_rotation |= rotate
-                if failure is not None:
-                    failures.append(failure)
-                elif status is not None and not status["ok"]:
-                    retry.append((t, status))
-            # Cache-invalidating retry, across the process boundary: the
-            # parent rebuilds the shard (new generation, fresh bytes)
-            # and resubmits -- gated by the retry policy (error class,
-            # attempts, shared budget, deadline) and by the shard
-            # generation's circuit breaker, so a shard that keeps
-            # failing at the same bytes stops burning rebuild cycles.
-            resubmitted: list[tuple[int, object, object]] = []
-            for t, status in retry:
-                lo, hi = self.partition.rows_of(t)
-                exc = _rebuild_error(status)
-                generation = self.store.attach_spec(t)["generation"]
-                breaker = self.breakers.get(f"shard:{t}:g{generation}")
-                breaker.record_failure()
-                if not breaker.allow():
-                    failures.append(
-                        ChunkFailure(
-                            t,
-                            lo,
-                            hi,
-                            BreakerOpenError(
-                                f"shard {t} generation {generation} breaker "
-                                f"open after repeated failures (last: "
-                                f"{type(exc).__name__}: {exc})",
-                                key=breaker.key,
-                                retry_after_s=breaker.retry_after_s(),
-                            ),
-                            retried=False,
-                            worker_traceback=status.get("traceback"),
-                        )
-                    )
-                    continue
-                if not self.retry_policy.should_retry(
-                    exc, 1, budget=self._retry_budget, deadline=self.deadline
-                ):
-                    failures.append(
-                        ChunkFailure(
-                            t,
-                            lo,
-                            hi,
-                            exc,
-                            retried=False,
-                            worker_traceback=status.get("traceback"),
-                        )
-                    )
-                    continue
-                telemetry.count(
-                    "executor.retry",
-                    1,
-                    extra={
-                        "thread": t,
-                        "lo": lo,
-                        "hi": hi,
-                        "error": status.get("error_type", ""),
-                    },
-                    format=self._format_name,
-                )
-                obs.mark("executor.retry", 1, format=self._format_name)
-                try:
-                    self.store.rebuild_shard(t)
-                except Exception as exc2:
-                    breaker.record_failure()
-                    failures.append(ChunkFailure(t, lo, hi, exc2, retried=True))
-                    continue
-                resubmitted.append((t, self._submit(pool, t), breaker))
-            for t, future, breaker in resubmitted:
-                lo, hi = self.partition.rows_of(t)
-                failure, status, rotate = self._chunk_result(
-                    t, future, retried=True
-                )
-                needs_rotation |= rotate
-                if failure is not None:
-                    breaker.record_failure()
-                    failures.append(failure)
-                elif status is not None and not status["ok"]:
-                    breaker.record_failure()
-                    failures.append(
-                        ChunkFailure(
-                            t,
-                            lo,
-                            hi,
-                            _rebuild_error(status),
-                            retried=True,
-                            worker_traceback=status.get("traceback"),
-                        )
-                    )
-                else:
-                    # The rebuilt generation works: close the breaker so
-                    # a half-open probe that succeeded re-admits traffic.
-                    breaker.record_success()
+            try:
+                failures, needs_rotation = self._run_chunks()
+            except BaseException:
+                # An interrupted call may leave answers in the pipes that
+                # the next call would take for its own.
+                self._rotate()
+                raise
         y_view = self._y.array
         if out is not None:
             np.copyto(out, y_view)
@@ -662,13 +764,26 @@ class ProcessParallelSpMV:
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:
-        """Shut down the pool, the shard store, and the shared buffers."""
+        """Stop the workers; release the shard store and shared buffers.
+
+        Every worker, current or retired, is asked to exit and joined;
+        any still alive after :data:`_JOIN_TIMEOUT_S` is killed.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        for worker in self._workers:
+            worker.retire()
+        workers = self._retired_workers + self._workers
+        self._workers = []
+        self._retired_workers = []
+        deadline = time.monotonic() + _JOIN_TIMEOUT_S
+        for worker in workers:
+            worker.process.join(max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            if worker.process.exitcode is None:
+                worker.process.kill()
+                worker.process.join()
         for vec in [self._x, self._y, *self._retired]:
             vec.close()
         self._retired = []

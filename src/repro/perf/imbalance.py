@@ -212,7 +212,7 @@ def thread_timelines(
     The dashboard's timeline renderer consumes this; every span kind is
     included so single-threaded phases (encode, simulate) show too.
     The lane key pairs the ``pid`` attribute (0 for in-process spans)
-    with the OS thread id: fork-pool workers inherit the parent main
+    with the OS thread id: forked workers inherit the parent main
     thread's ident, so ``tid`` alone would fold every worker of a
     process-backend run into one lane.
     """

@@ -1,7 +1,7 @@
 """Deterministic fault injection hooks for the chaos harness.
 
 ``tools/smoke_chaos.py`` needs to make precise bad things happen at
-precise moments: kill a pool worker *mid-chunk*, stall one chunk past
+precise moments: kill a shard worker *mid-chunk*, stall one chunk past
 its timeout, raise a decode error inside shard *k* at generation *g*
 only.  This module is the seam: production code calls
 :func:`trip` at a handful of named **sites**, and the harness (or a
@@ -16,7 +16,7 @@ site                   where / context keys
 =====================  ======================================================
 ``thread.chunk``       inside a thread executor's chunk, before the kernel;
                        ``thread``, ``lo``, ``hi``, ``kind``
-``worker.chunk``       inside a pool worker, before the shard kernel;
+``worker.chunk``       inside a shard worker, before the shard kernel;
                        ``index``, ``generation``, ``pid``
 ``stream.shard``       ``streamed_spmv`` loop, before shard *k*'s multiply;
                        ``shard``, ``generation``
@@ -30,7 +30,7 @@ site's context value — so a fault armed with ``{"index": 1,
 "generation": 0}`` stops firing the moment the executor rebuilds the
 shard (generation bump), which is what lets recovery converge.
 
-Fork semantics (the subtle part): the process pool uses ``fork``, so
+Fork semantics (the subtle part): the process backend uses ``fork``, so
 faults armed in the parent are inherited by every worker.  Each
 fault's ``times`` budget decrements in whichever process trips it, and
 a child's decrement is *not* visible to the parent or to workers
@@ -94,7 +94,7 @@ class Fault:
             raise ValueError(f"unknown chaos action {self.action!r}")
 
 
-# Module-level so a fork()ed pool worker inherits whatever the parent
+# Module-level so a fork()ed shard worker inherits whatever the parent
 # armed.  Tuple (not list) so trip()'s fast path is one truthiness
 # check on an immutable snapshot and arm/disarm are atomic rebinds.
 _FAULTS: tuple[Fault, ...] = ()

@@ -467,6 +467,23 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
     return seg
 
 
+def _detach_shm(name: str) -> None:
+    """Drop this process's attachment of segment *name*, if it has one.
+
+    Views over the segment that are still alive keep the mapping until
+    they die (the segment is disarmed, as at close); otherwise it is
+    unmapped now.
+    """
+    with _ATTACH_LOCK:
+        seg = _SHM_ATTACHED.pop(name, None)
+    if seg is None:
+        return
+    try:
+        seg.close()
+    except BufferError:
+        _disarm_segment(seg)
+
+
 def attach(handle: dict, *, verify: bool = True) -> dict[str, np.ndarray | bytes]:
     """Resolve a provider *handle* into field views, in any process.
 

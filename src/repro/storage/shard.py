@@ -66,7 +66,7 @@ def _manifest_crc(shards: list[dict]) -> int:
 def attach_shard(spec: dict, *, verify: bool = True):
     """Rebuild one shard matrix from a picklable ``attach_spec`` dict.
 
-    Standalone (no store object needed) so process-pool workers can
+    Standalone (no store object needed) so process-backend workers can
     call it with nothing but the spec.  ``verify=True`` re-hashes every
     field against its stored CRC32 and raises
     :class:`~repro.errors.IntegrityError` on mismatch -- the

@@ -116,7 +116,7 @@ def write_chrome_trace(collector: Collector, path: str) -> int:
     events map to Chrome counter tracks so e.g. simulated DRAM bytes
     plot as a graph over the run.
 
-    Events ingested from pool workers (:mod:`repro.obs.xproc`) carry a
+    Events ingested from process workers (:mod:`repro.obs.xproc`) carry a
     ``pid`` attribute; those render on their own process track -- one
     per worker pid, labelled via ``process_name`` metadata -- so a
     multi-process run reads as one timeline with the parent at pid 0.
@@ -225,7 +225,7 @@ def reliability_summary(collector: Collector) -> dict[str, float]:
     * ``alerts`` -- fired ``obs.alert`` SLO events;
     * ``shard_attaches`` and the ``shard_cache_*`` trio -- the storage
       layer's attach traffic and the worker-side shard-cache hit ratio
-      (``storage.shard.cache.*`` marks flow back from pool workers via
+      (``storage.shard.cache.*`` marks flow back from process workers via
       :mod:`repro.obs.xproc`).
 
     Anything nonzero among fallbacks/retries/alerts means the run

@@ -55,10 +55,10 @@ name                           kind     meaning / labels
                                         with the same payload plus ``backend``
                                         and worker-measured ``seconds``
 ``worker.attach``              span     shard-cache lookup + attach inside a
-                                        pool worker (covers CRC verify and
+                                        shard worker (covers CRC verify and
                                         decode); ``index``, ``generation``
 ``worker.multiply``            span     the shard kernel proper inside a
-                                        pool worker; ``index``
+                                        shard worker; ``index``
 ``storage.shard.write``        counter  one shard packed + stored; label
                                         ``format``; payload ``index``,
                                         ``bytes``, ``storage`` (mem/shm/mmap)

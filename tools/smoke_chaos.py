@@ -13,7 +13,7 @@ the recovery machinery stays observable while it works.
 Scenarios (the fault sweep):
 
 ==================  =======================================================
-``worker-kill``     SIGKILL a pool worker mid-chunk -> typed ExecutionError
+``worker-kill``     SIGKILL a shard worker mid-chunk -> typed ExecutionError
                     (dead worker), then a bit-identical recovery call
 ``straggler``       one worker sleeps past ``chunk_timeout`` ->
                     ``executor.chunk.abandoned`` + typed TimeoutError
@@ -40,7 +40,7 @@ Scenarios (the fault sweep):
                     torn shard and produces a bit-identical y
 ==================  =======================================================
 
-Fork caveat: the kill/sleep/raise faults reach pool workers by fork
+Fork caveat: the kill/sleep/raise faults reach shard workers by fork
 inheritance, so scenarios that need worker-side faults are skipped on
 platforms without the fork start method.
 
@@ -140,7 +140,7 @@ def scenario_worker_kill(n: int = 96, nworkers: int = 2) -> str:
             )
         else:
             raise ChaosFailure("SIGKILLed worker did not fail the call")
-        # Disarm before the recovery call: the rotated pool forks fresh
+        # Disarm before the recovery call: the fresh workers fork
         # from this parent, so a still-armed kill would fire again.
         chaos.disarm_all()
         got = ex(x)
@@ -148,7 +148,7 @@ def scenario_worker_kill(n: int = 96, nworkers: int = 2) -> str:
         np.array_equal(got, expected),
         "recovery call after a worker kill is not bit-identical",
     )
-    return "typed failure, bit-identical recovery after pool rotation"
+    return "typed failure, bit-identical recovery after worker rotation"
 
 
 def scenario_straggler(n: int = 96, nworkers: int = 2) -> str:
